@@ -7,6 +7,9 @@ over query arrays via ``numpy.searchsorted``.
 
 Rank convention: R(y) = |{x_i : x_i <= y}| (paper §1), i.e. inclusive
 rank, estimated with ``searchsorted(..., side="right")``.
+
+NaN is not ordered against the stream, so a NaN query point or quantile
+fraction raises ``ValueError`` instead of returning a plausible answer.
 """
 from __future__ import annotations
 
@@ -24,6 +27,8 @@ class WeightedLevels(Protocol):
 def estimate_ranks(sketch: WeightedLevels, queries: Sequence[float]) -> np.ndarray:
     """Estimated inclusive ranks R-hat(y) for each query y (int64 array)."""
     qs = np.asarray(queries, dtype=np.float64).ravel()
+    if np.isnan(qs).any():
+        raise ValueError("NaN query points have no rank")
     out = np.zeros(qs.shape, dtype=np.int64)
     for weight, arr in sketch.level_arrays():
         if arr.size:
@@ -64,7 +69,7 @@ def estimate_quantiles(sketch: WeightedLevels, phis: Sequence[float]) -> np.ndar
     """For each phi in [0, 1], the smallest stored item whose estimated
     normalized rank is >= phi (the classic mergeable-summary quantile query)."""
     ph = np.asarray(phis, dtype=np.float64).ravel()
-    if np.any((ph < 0) | (ph > 1)):
+    if not np.all((ph >= 0) & (ph <= 1)):  # also rejects NaN
         raise ValueError("quantile fractions must lie in [0, 1]")
     values, weights = weighted_coreset(sketch)
     if values.size == 0:

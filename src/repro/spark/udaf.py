@@ -14,6 +14,7 @@ builds the group's sketch with a deterministic per-group seed.
 """
 from __future__ import annotations
 
+import zlib
 from typing import List, Sequence
 
 import numpy as np
@@ -24,10 +25,16 @@ from pyspark.sql import types as T
 
 from repro.core import serde
 from repro.core.req_sketch import ReqSketch
+from repro.spark.aggregate import merge_sequential
 
 
 def _group_seed(seed: int, key_values: tuple) -> np.random.Generator:
-    ent = [seed] + [abs(hash(str(v))) % (2 ** 31) for v in key_values]
+    """Per-group RNG from the CRC-32 of each key's UTF-8 text.
+
+    ``hash(str)`` would be salted per process (``PYTHONHASHSEED``); CRC-32
+    gives the same seed in every process.
+    """
+    ent = [seed] + [zlib.crc32(str(v).encode("utf-8")) for v in key_values]
     return np.random.default_rng(np.random.SeedSequence(ent))
 
 
@@ -109,8 +116,4 @@ def merge_group_sketches(sketch_df: DataFrame) -> ReqSketch:
     rows = sketch_df.select("sketch").collect()
     if not rows:
         raise ValueError("no group sketches to merge")
-    sketches = [serde.from_bytes(r["sketch"]) for r in rows]
-    acc = sketches[0]
-    for sk in sketches[1:]:
-        acc = acc.merge(sk)
-    return acc
+    return merge_sequential([serde.from_bytes(r["sketch"]) for r in rows])

@@ -105,3 +105,44 @@ class TestQuantiles:
         sk = FakeSketch([(1, np.sort(rng.random(50))), (2, np.sort(rng.random(20)))])
         qs = E.estimate_quantiles(sk, np.linspace(0, 1, 50))
         assert np.all(np.diff(qs) >= 0)
+
+
+class TestNanRejected:
+    """NaN is unordered: every query path raises instead of answering."""
+
+    SK = FakeSketch([(1, [1.0, 2.0, 3.0]), (2, [1.5])])
+
+    @pytest.mark.parametrize(
+        "query, arg",
+        [
+            (E.estimate_rank, np.nan),
+            (E.estimate_ranks, [1.0, np.nan, 3.0]),
+            (E.estimate_cdf, [2.0, np.nan]),
+            (E.estimate_quantile, np.nan),
+            (E.estimate_quantiles, [0.5, np.nan]),
+        ],
+        ids=["rank", "ranks", "cdf", "quantile", "quantiles"],
+    )
+    def test_estimator(self, query, arg):
+        with pytest.raises(ValueError):
+            query(self.SK, arg)
+
+    def test_infinities_still_answered(self):
+        assert E.estimate_rank(self.SK, np.inf) == 5
+        assert E.estimate_rank(self.SK, -np.inf) == 0
+
+    @pytest.mark.parametrize("make", ["req", "kll"])
+    def test_sketch_methods(self, make):
+        from repro.baselines.kll import KllSketch
+        from repro.core.req_sketch import ReqSketch
+
+        sk = ReqSketch(8, seed=0) if make == "req" else KllSketch(8, seed=0)
+        sk.update(np.arange(100.0))
+        for call, arg in [
+            (sk.rank, np.nan),
+            (sk.ranks, [1.0, np.nan]),
+            (sk.quantile, np.nan),
+            (sk.quantiles, [np.nan]),
+        ] + ([(sk.cdf, [np.nan])] if make == "req" else []):
+            with pytest.raises(ValueError):
+                call(arg)

@@ -1,9 +1,12 @@
 """Distributed-build tests: partition partials, merge trees, treeAggregate."""
+import math
+
 import numpy as np
 import pytest
 
 from repro import synth_data as sd
 from repro.baselines.exact import ExactRanks, relative_errors
+from repro.core import serde
 from repro.core.req_sketch import ReqSketch
 from repro.spark import aggregate as agg
 
@@ -16,6 +19,14 @@ def stream(spark):
     df = sd.stream_df(spark, "permutation", N, seed=0, num_partitions=8).cache()
     df.count()
     return arr, df
+
+
+@pytest.fixture(scope="module")
+def stream16(spark):
+    df = sd.stream_df(spark, "permutation", N, seed=0, num_partitions=16).cache()
+    df.count()
+    yield df
+    df.unpersist()
 
 
 class TestPartitionSketches:
@@ -46,6 +57,48 @@ class TestPartitionSketches:
         df = spark.createDataFrame(pdf)
         parts = agg.partition_sketches(df, "x", template=ReqSketch(8), seed=4)
         assert sum(p.n for p in parts) == 3
+
+
+class TestArrowKernel:
+    def test_partials_bit_identical_to_driver_build(self, spark):
+        """Each partial equals a driver-side sketch fed the same partition's
+        rows in order (nulls and NaNs dropped), seeded (seed, partition id)."""
+        rng = np.random.default_rng(0)
+        rows = [(float(v),) for v in rng.random(8000)]
+        rows[2000:4000:7] = [(None,)] * len(rows[2000:4000:7])
+        rows[4000:6000:5] = [(math.nan,)] * len(rows[4000:6000:5])
+        rows[6000:] = [(None,)] * 2000
+        df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 4), "x double")
+        layout = df.rdd.glom().collect()
+        assert sum(r.x is None for r in layout[1]) > 0  # a partition with nulls
+        expected = []
+        for pid, part in enumerate(layout):
+            vals = np.array([r.x for r in part if r.x is not None], dtype=np.float64)
+            vals = vals[~np.isnan(vals)]
+            if vals.size:
+                sk = ReqSketch(8)
+                sk.rng = np.random.default_rng(np.random.SeedSequence([11, pid]))
+                # Same encode/decode trip as the shipped partial: pickle's memo
+                # makes a decoded sketch's bytes differ from the original's.
+                shipped = serde.from_bytes(serde.to_bytes(sk.update(vals)))
+                expected.append(serde.to_bytes(shipped))
+        got = agg.partition_sketches(df, "x", template=ReqSketch(8), seed=11)
+        assert len(expected) == 3  # the all-null partition emits nothing
+        assert [serde.to_bytes(p) for p in got] == expected
+
+    def test_keeps_callers_layout(self, spark, stream16):
+        parts = agg.partition_sketches(stream16, "x", template=ReqSketch(16), seed=1)
+        assert len(parts) == 16
+
+    def test_build_merges_one_partial_per_core(self, spark, stream16):
+        """build_sketch coalesces to defaultParallelism partitions first."""
+        cores = spark.sparkContext.defaultParallelism
+        parts = agg.partition_sketches(
+            stream16.coalesce(cores), "x", template=ReqSketch(16), seed=9
+        )
+        assert len(parts) <= cores
+        built = agg.build_sketch(stream16, "x", k=16, seed=9)
+        assert serde.to_bytes(built) == serde.to_bytes(agg.merge_balanced(parts))
 
 
 class TestMergeShapes:

@@ -1,8 +1,13 @@
 """Grouped-sketch (applyInPandas UDAF shape) tests, oracle-checked."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
+import repro
 from repro import synth_data as sd
 from repro.core import serde
 from repro.oracle import assert_equivalent
@@ -88,3 +93,30 @@ class TestRollup:
         )
         with pytest.raises(ValueError):
             udaf.merge_group_sketches(empty)
+
+
+class TestGroupSeed:
+    KEY = ("R", 42, 1.5)
+    DRAW = (
+        "from repro.spark.udaf import _group_seed; "
+        "print(_group_seed(7, ('R', 42, 1.5)).integers(0, 2**32, 4).tolist())"
+    )
+
+    def test_same_draws_in_any_process(self):
+        """The group seed does not depend on the process's hash salt."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            run = subprocess.run(
+                [sys.executable, "-c", self.DRAW],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            outs.append(run.stdout.strip())
+        here = udaf._group_seed(7, self.KEY).integers(0, 2**32, 4).tolist()
+        assert outs == [str(here), str(here)]
+
+    def test_keys_get_different_seeds(self):
+        a = udaf._group_seed(7, ("R",)).integers(0, 2**32, 4)
+        b = udaf._group_seed(7, ("N",)).integers(0, 2**32, 4)
+        assert not np.array_equal(a, b)
