@@ -46,6 +46,23 @@ def test_quantile_queries_1k(benchmark, data):
     assert np.all(np.diff(out) >= 0)
 
 
+def test_batch_then_query(benchmark):
+    """The stream_mixed shape at k=32: a 500-item update, then one rank
+    and one quantile, over a 250k lognormal stream."""
+    x = stream_array("lognormal", 250_000, seed=8)
+
+    def run():
+        sk = ReqSketch(32, seed=9)
+        for b in range(0, x.size, 500):
+            sk.update(x[b : b + 500])
+            sk.rank(x[b])
+            sk.quantile(0.99)
+        return sk
+
+    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert result.total_weight() == x.size
+
+
 def test_serde_roundtrip(benchmark, data):
     from repro.core import serde
 

@@ -1,10 +1,10 @@
 """The relative-compactor buffer (paper Algorithm 1 + Algorithm 4 pieces).
 
 A relative-compactor holds up to B = 2 * k * num_sections items.  When
-full, it sorts its contents and compacts only the *largest* L items,
-where L = (z(C)+1) * k is chosen by the trailing-ones schedule — the
-lowest-ranked half of the buffer is never compacted, which is what makes
-the overall sketch's error *relative* instead of additive.  The
+full, it compacts only the *largest* L items, where L = (z(C)+1) * k is
+chosen by the trailing-ones schedule — the lowest-ranked half of the
+buffer is never compacted, which is what makes the overall sketch's
+error *relative* instead of additive.  The
 compaction outputs every other item of the compacted range (even or odd
 indices with equal probability); the output is fed to the next level,
 where each item counts with twice the weight.
@@ -29,15 +29,23 @@ import numpy as np
 from repro.core.params import CompactorParams
 from repro.core.schedule import sections_to_compact
 
+_EMPTY = np.empty(0, dtype=np.float64)
+_EMPTY.flags.writeable = False
+
 
 class RelativeCompactor:
     """One level's buffer with its compaction-schedule state.
 
-    Buffers are kept *unsorted* between compactions (appends are O(1)
-    amortized); sorting happens once per compaction / query.
+    Invariant: the buffer is one sorted run followed by a tail of
+    unsorted appends.  ``append`` is O(1) amortized and only adds to the
+    tail; ``sorted_values`` merges the tail into the run with a stable
+    sort (timsort, near-linear for a long run plus a short tail) and
+    keeps the result as the level's only chunk.  A compaction leaves the
+    sorted prefix ``kept`` behind, so the next one merges only what was
+    appended since instead of sorting the whole buffer.
     """
 
-    __slots__ = ("params", "state", "schedule", "_chunks", "_count")
+    __slots__ = ("params", "state", "schedule", "_chunks", "_count", "_sorted")
 
     def __init__(
         self,
@@ -53,6 +61,8 @@ class RelativeCompactor:
         self.schedule = schedule
         self._chunks: List[np.ndarray] = []
         self._count = 0
+        # True when _chunks is empty or one read-only sorted array.
+        self._sorted = True
 
     # ------------------------------------------------------------------ sizing
 
@@ -75,19 +85,33 @@ class RelativeCompactor:
             return
         self._chunks.append(arr)
         self._count += arr.size
+        self._sorted = False
 
     def values(self) -> np.ndarray:
-        """All buffered items, unsorted."""
+        """All buffered items, in no particular order."""
         if not self._chunks:
-            return np.empty(0, dtype=np.float64)
+            return _EMPTY
         if len(self._chunks) > 1:
             merged = np.concatenate(self._chunks)
             self._chunks = [merged]
         return self._chunks[0]
 
     def sorted_values(self) -> np.ndarray:
-        """All buffered items in non-descending order (copy)."""
-        return np.sort(self.values())
+        """All buffered items in non-descending order (read-only, no copy).
+
+        Sorts only if something was appended since the last call or
+        compaction; otherwise returns the same array object again.
+        """
+        if not self._sorted:
+            if len(self._chunks) > 1:
+                arr = np.concatenate(self._chunks)
+                arr.sort(kind="stable")
+            else:  # may be the caller's array: sort a copy
+                arr = np.sort(self._chunks[0], kind="stable")
+            arr.flags.writeable = False
+            self._chunks = [arr]
+            self._sorted = True
+        return self.values()
 
     # ------------------------------------------------------------------ compaction
 
@@ -134,6 +158,7 @@ class RelativeCompactor:
         promoted = tail[offset::2].copy()
         self._chunks = [kept]
         self._count = kept.size
+        self._sorted = True
         self.state += 1
         return promoted
 

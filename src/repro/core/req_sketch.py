@@ -267,6 +267,14 @@ class ReqSketch:
         ]
         if not sk.levels:
             sk.levels = [sk._new_level()]
+        # A NaN breaks the sorted-run invariant and every searchsorted,
+        # and a level-size mismatch breaks exact total weight; refuse both.
+        for h, lv in enumerate(sk.levels):
+            if np.isnan(lv.values()).any():
+                raise ValueError(f"level {h} holds NaN")
+        weight = sum(len(lv) << h for h, lv in enumerate(sk.levels))
+        if weight != sk.n:
+            raise ValueError(f"levels weigh {weight}, not n = {sk.n}")
         sk.rng = np.random.default_rng()
         sk.rng.bit_generator.state = d["rng_state"]
         return sk

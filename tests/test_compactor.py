@@ -39,6 +39,32 @@ class TestBuffering:
         c.append(np.array([3.0, 1.0, 2.0]))
         assert list(c.sorted_values()) == [1.0, 2.0, 3.0]
 
+    def test_sorted_values_cached_read_only(self):
+        c = make()
+        c.append(np.array([3.0, 1.0]))
+        c.append(np.array([2.0]))
+        s = c.sorted_values()
+        assert c.sorted_values() is s and c.values() is s
+        with pytest.raises(ValueError):
+            s[0] = 9.0
+        c.append(np.array([0.0]))
+        assert list(c.sorted_values()) == [0.0, 1.0, 2.0, 3.0]
+
+    def test_sort_leaves_callers_array_alone(self):
+        x = np.array([3.0, 1.0, 2.0])
+        c = make()
+        c.append(x)
+        c.sorted_values()
+        assert x.flags.writeable and list(x) == [3.0, 1.0, 2.0]
+
+    def test_compaction_keeps_sorted_prefix(self):
+        c = make(k=4, sections=3)
+        c.append(np.arange(24.0)[::-1])
+        c.compact(np.random.default_rng(0))
+        s = c.sorted_values()
+        assert list(s) == list(np.arange(float(len(c))))
+        assert c.sorted_values() is s
+
     def test_values_consolidates_chunks(self):
         c = make()
         for _ in range(5):

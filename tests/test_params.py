@@ -116,6 +116,17 @@ class TestGeometry:
         with pytest.raises(ValueError):
             P.CompactorParams(8, 0)
 
+    def test_B_stored_once(self):
+        """B is a plain field fixed at construction, equal to 2*k*num_sections."""
+        for k in (2, 8, 64):
+            for s in (1, 3, 28):
+                p = P.CompactorParams(k, s)
+                assert p.B == 2 * k * s == P.buffer_size(k, s)
+                assert p.__dict__["B"] == p.B
+        with pytest.raises(AttributeError):
+            P.CompactorParams(8, 5).B = 3
+        assert P.CompactorParams(8, 5) == P.CompactorParams(8, 5)
+
     def test_L_max_is_half_buffer(self):
         """Observation 17 consequence: compacting all sections takes
         exactly the top half of the buffer, never more."""

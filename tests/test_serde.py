@@ -61,6 +61,47 @@ class TestReqRoundtrip:
         assert np.array_equal(sk.ranks(qs), cp.ranks(qs))
 
 
+def _reencode(d: dict) -> bytes:
+    """Wire bytes of a (possibly tampered) sketch dict."""
+    import pickle
+
+    return b"REPROSK1" + pickle.dumps(d)
+
+
+class TestCorruptLevelsRejected:
+    """Decoded levels must hold no NaN and weigh exactly n."""
+
+    @staticmethod
+    def _dict():
+        sk = ReqSketch(8, seed=10).update(stream_array("uniform", 5000, seed=10))
+        assert sk.num_levels >= 3
+        return sk.to_dict()
+
+    def test_untampered_accepted(self):
+        d = self._dict()
+        assert serde.from_bytes(_reencode(d)).total_weight() == d["n"]
+
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_nan_item_rejected(self, level):
+        d = self._dict()
+        d["levels"][level]["values"][0] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            serde.from_bytes(_reencode(d))
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_wrong_n_rejected(self, delta):
+        d = self._dict()
+        d["n"] += delta
+        with pytest.raises(ValueError, match="weigh"):
+            serde.from_bytes(_reencode(d))
+
+    def test_dropped_item_rejected(self):
+        d = self._dict()
+        d["levels"][1]["values"] = d["levels"][1]["values"][1:]
+        with pytest.raises(ValueError, match="weigh"):
+            serde.from_bytes(_reencode(d))
+
+
 class TestKllRoundtrip:
     def test_roundtrip(self):
         sk = KllSketch(k=50, seed=9).update(stream_array("uniform", 9000, seed=9))
