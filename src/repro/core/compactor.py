@@ -17,7 +17,7 @@ This class is also used by the merge procedure (paper Algorithm 4):
   above the smallest B/2 items regardless of the schedule state.
 
 The naive Θ(ε⁻²·log(ε²n)) baseline from the paper ("protect B/2, always
-compact the entire top half") is this same class with
+compact the entire top half") is this same class compacted with
 ``schedule="all"`` — the only behavioural difference is L = B/2 always.
 """
 from __future__ import annotations
@@ -36,6 +36,10 @@ _EMPTY.flags.writeable = False
 class RelativeCompactor:
     """One level's buffer with its compaction-schedule state.
 
+    The geometry (k, B) and the schedule flavour belong to the sketch,
+    which passes them to every ``compact``; a level holds only its items
+    and its state, so a parameter-growth step changes nothing here.
+
     Invariant: the buffer is one sorted run followed by a tail of
     unsorted appends.  ``append`` is O(1) amortized and only adds to the
     tail; ``sorted_values`` merges the tail into the run with a stable
@@ -45,36 +49,17 @@ class RelativeCompactor:
     appended since instead of sorting the whole buffer.
     """
 
-    __slots__ = ("params", "state", "schedule", "_chunks", "_count", "_sorted")
+    __slots__ = ("state", "_chunks", "_count", "_sorted")
 
-    def __init__(
-        self,
-        params: CompactorParams,
-        *,
-        schedule: str = "req",
-        state: int = 0,
-    ) -> None:
-        if schedule not in ("req", "all"):
-            raise ValueError(f"schedule must be 'req' or 'all', got {schedule!r}")
-        self.params = params
+    def __init__(self, state: int = 0) -> None:
         self.state = int(state)
-        self.schedule = schedule
         self._chunks: List[np.ndarray] = []
         self._count = 0
         # True when _chunks is empty or one read-only sorted array.
         self._sorted = True
 
-    # ------------------------------------------------------------------ sizing
-
     def __len__(self) -> int:
         return self._count
-
-    @property
-    def capacity(self) -> int:
-        return self.params.B
-
-    def is_full(self) -> bool:
-        return self._count >= self.params.B
 
     # ------------------------------------------------------------------ content
 
@@ -115,8 +100,16 @@ class RelativeCompactor:
 
     # ------------------------------------------------------------------ compaction
 
-    def compact(self, rng: np.random.Generator, *, special: bool = False) -> np.ndarray:
-        """Run one compaction; return the items promoted to the next level.
+    def compact(
+        self,
+        p: CompactorParams,
+        rng: np.random.Generator,
+        *,
+        schedule: str = "req",
+        special: bool = False,
+    ) -> np.ndarray:
+        """Run one compaction under the sketch's geometry ``p``; return the
+        items promoted to the next level.
 
         Scheduled compactions (``special=False``) require a full buffer
         and compact from slot ``s = B - L`` (0-based) to the end, with
@@ -125,7 +118,6 @@ class RelativeCompactor:
         growth) compact from slot B/2 whenever more than B/2 items are
         buffered.  Both increment the schedule state.
         """
-        p = self.params
         if special:
             # Nothing to do when at most one item sits above the
             # protected half (an even range needs at least two).
@@ -137,7 +129,7 @@ class RelativeCompactor:
                 raise RuntimeError(
                     f"scheduled compaction on non-full buffer ({self._count} < {p.B})"
                 )
-            if self.schedule == "all":
+            if schedule == "all":
                 n_sec = p.num_sections
             else:
                 n_sec = sections_to_compact(self.state, p.num_sections)
@@ -165,14 +157,10 @@ class RelativeCompactor:
     # ------------------------------------------------------------------ serde
 
     def to_dict(self) -> dict:
-        return {
-            "state": self.state,
-            "schedule": self.schedule,
-            "values": self.values().copy(),
-        }
+        return {"state": self.state, "values": self.values().copy()}
 
     @classmethod
-    def from_dict(cls, d: dict, params: CompactorParams) -> "RelativeCompactor":
-        c = cls(params, schedule=d["schedule"], state=d["state"])
+    def from_dict(cls, d: dict) -> "RelativeCompactor":
+        c = cls(d["state"])
         c.append(np.asarray(d["values"], dtype=np.float64))
         return c

@@ -48,8 +48,9 @@ class ReqSketch:
         khat: Optional[float] = None,
         k_const: int = 2 ** 5,
         N0: Optional[int] = None,
-        _rng: Optional[np.random.Generator] = None,
     ) -> None:
+        if schedule not in ("req", "all"):
+            raise ValueError(f"schedule must be 'req' or 'all', got {schedule!r}")
         self._khat = khat
         self._k_const = k_const
         self.schedule = schedule
@@ -60,12 +61,12 @@ class ReqSketch:
             self.k = int(k)
             self.N = int(N0) if N0 is not None else P.initial_N(self.k)
         self.params = P.CompactorParams(self.k, P.num_sections_mergeable(self.N, self.k))
-        self.levels: List[RelativeCompactor] = [self._new_level()]
+        self.levels: List[RelativeCompactor] = [RelativeCompactor()]
         self.n = 0
         # Smallest buffer size ever in force (here or in any merged-in
         # operand): ranks <= _min_B/2 are deterministically exact.
         self._min_B = self.params.B
-        self.rng = _rng if _rng is not None else np.random.default_rng(seed)
+        self.rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------ constructors
 
@@ -188,7 +189,7 @@ class ReqSketch:
         self._min_B = min(self._min_B, src._min_B)
         # Lines 8-11: combine buffers and schedule states per level.
         while len(self.levels) < len(src.levels):
-            self.levels.append(self._new_level())
+            self.levels.append(RelativeCompactor())
         for h, src_lv in enumerate(src.levels):
             dst = self.levels[h]
             dst.state = merge_states(dst.state, src_lv.state)
@@ -262,11 +263,9 @@ class ReqSketch:
         )
         sk.n = d["n"]
         sk._min_B = d["min_B"]
-        sk.levels = [
-            RelativeCompactor.from_dict(ld, sk.params) for ld in d["levels"]
-        ]
+        sk.levels = [RelativeCompactor.from_dict(ld) for ld in d["levels"]]
         if not sk.levels:
-            sk.levels = [sk._new_level()]
+            sk.levels = [RelativeCompactor()]
         # A NaN breaks the sorted-run invariant and every searchsorted,
         # and a level-size mismatch breaks exact total weight; refuse both.
         for h, lv in enumerate(sk.levels):
@@ -280,9 +279,6 @@ class ReqSketch:
         return sk
 
     # --------------------------------------------------------------- internals
-
-    def _new_level(self) -> RelativeCompactor:
-        return RelativeCompactor(self.params, schedule=self.schedule)
 
     def _check_mergeable(self, other: "ReqSketch") -> None:
         if not isinstance(other, ReqSketch):
@@ -303,16 +299,16 @@ class ReqSketch:
         while h < len(self.levels):
             lv = self.levels[h]
             if len(lv) >= self.params.B:
-                promoted = lv.compact(self.rng)
+                promoted = lv.compact(self.params, self.rng, schedule=self.schedule)
                 if h + 1 == len(self.levels):
-                    self.levels.append(self._new_level())
+                    self.levels.append(RelativeCompactor())
                 self.levels[h + 1].append(promoted)
             h += 1
 
     def _special_compact_all(self, rng: np.random.Generator) -> None:
         """App.-C special compactions: shrink every non-top level to <= B/2."""
         for h in range(len(self.levels) - 1):
-            promoted = self.levels[h].compact(rng, special=True)
+            promoted = self.levels[h].compact(self.params, rng, special=True)
             if promoted.size:
                 self.levels[h + 1].append(promoted)
 
@@ -325,8 +321,6 @@ class ReqSketch:
         self.params = P.CompactorParams(
             self.k, P.num_sections_mergeable(self.N, self.k)
         )
-        for lv in self.levels:
-            lv.params = self.params
         # The top level received promotions and new B may still be
         # exceeded in pathological cases; restore capacity.
         self._compact_cascade()

@@ -1,9 +1,9 @@
 """Versioned byte serialization for sketches shipped through Spark.
 
-Executors build partial sketches per partition and return them to the
-driver (or to ``treeAggregate`` combiners) as opaque ``bytes`` columns;
-this module is the single choke point for the wire format so the format
-can evolve without touching the dataflow code.
+Executors build partial sketches per partition and ship them as opaque
+``bytes`` columns, to the driver or to executor-side ``treeReduce``
+combiners; this module is the single choke point for the wire format so
+the format can evolve without touching the dataflow code.
 
 The payload is a pickled plain dict produced by each sketch class's
 ``to_dict`` (numpy arrays + scalars only — no live objects), prefixed

@@ -4,16 +4,20 @@ Paper claim: splitting the input arbitrarily, sketching pieces
 separately, and combining partial sketches through *any* sequence of
 merge operations preserves the same relative-error guarantee and space
 as one-pass streaming.  We build the sketch over TPC-H-lite
-``lineitem.l_extendedprice`` five ways —
+``lineitem.l_extendedprice`` four ways, every distributed one from the
+same ``mapInArrow`` kernel's per-partition partials —
 
 * driver-side single stream (reference),
-* Spark ``mapInArrow`` partials + balanced merge tree (4/16/64 parts),
+* partials + balanced merge tree on the driver (4/16/64 parts),
 * partials + *sequential* (maximally unbalanced) merge chain,
-* RDD ``treeAggregate`` with executor-side combiners,
+* partials merged on the executors by RDD ``treeReduce`` (depth 2,
+  32 parts), so only the root sketch reaches the driver,
 
 and report the max/mean relative error of each against oracle-checked
-exact ranks, plus retained space.  Shape to reproduce: every row's
-error is in the same band; space is within a constant of streaming.
+exact ranks, plus retained space.  Every row covers the whole input
+(``weight_ok``: total weight == input row count).  Shape to reproduce:
+every row's error is in the same band; space is within a constant of
+streaming.
 """
 from __future__ import annotations
 
@@ -22,9 +26,11 @@ import pandas as pd
 
 from repro import synth_data
 from repro.baselines.exact import relative_errors
+from repro.core import serde
 from repro.core.req_sketch import ReqSketch
 from repro.spark.aggregate import (
-    build_sketch,
+    _merge_bytes,
+    _partial_bytes,
     merge_balanced,
     merge_sequential,
     partition_sketches,
@@ -33,23 +39,24 @@ from repro.spark.queries import exact_ranks
 
 PAPER_CLAIM = (
     "Merged-anyhow sketch == streaming sketch: same eps guarantee, same space "
-    "up to constants, for any merge tree (balanced, chain, treeAggregate)."
+    "up to constants, for any merge tree (balanced, chain, executor treeReduce)."
 )
 
 K = 64
 
 
-def _error_row(name, sk, truth, ys, parts):
+def _error_row(name, sk, truth, ys, parts, n):
     est = sk.ranks(ys)
     rel = relative_errors(est, truth)
     return {
         "build": name,
         "partitions": parts,
+        "n": sk.n,
         "retained": sk.num_retained(),
         "levels": sk.num_levels,
         "max_rel_err": float(rel.max()),
         "mean_rel_err": float(rel.mean()),
-        "weight_ok": sk.total_weight() == sk.n,
+        "weight_ok": sk.total_weight() == n,
     }
 
 
@@ -75,43 +82,26 @@ def run(spark, *, quick: bool = False, sf: float | None = None) -> pd.DataFrame:
 
     rows = []
     stream = ReqSketch(K, seed=11).update(values)
-    rows.append(_error_row("driver_stream", stream, truth, ys, 1))
+    rows.append(_error_row("driver_stream", stream, truth, ys, 1, n))
 
     part_list = [4, 16] if quick else [4, 16, 64]
     for parts in part_list:
         d = df.repartition(parts)
         partials = partition_sketches(d, "l_extendedprice", template=ReqSketch(K), seed=21)
         rows.append(
-            _error_row("map_partitions/balanced", merge_balanced(partials), truth, ys, parts)
+            _error_row("map_partitions/balanced", merge_balanced(partials), truth, ys, parts, n)
         )
         partials = partition_sketches(d, "l_extendedprice", template=ReqSketch(K), seed=22)
         rows.append(
-            _error_row("map_partitions/chain", merge_sequential(partials), truth, ys, parts)
+            _error_row("map_partitions/chain", merge_sequential(partials), truth, ys, parts, n)
         )
-    # treeAggregate is per-row Python; cap its input so the experiment
-    # stays fast — this row is about merge correctness, not throughput.
-    ta_parts = 8 if quick else 32
-    if quick or n <= 50_000:
-        sub, ta_ys, ta_truth = df, ys, truth
-    else:
-        sub = df.limit(50_000).cache()
-        sub_n = sub.count()
-        sub_vals = np.sort(sub.toPandas()["l_extendedprice"].to_numpy())
-        tr = np.unique(
-            np.clip(np.round(np.logspace(0, np.log10(sub_n), 25)).astype(int), 1, sub_n)
-        )
-        ta_ys = sub_vals[tr - 1]
-        ta_truth_df = exact_ranks(sub, "l_extendedprice", list(ta_ys))
-        ta_truth = np.array([r["rank"] for r in ta_truth_df.collect()])
-    ta = build_sketch(
-        sub.repartition(ta_parts),
-        "l_extendedprice",
-        k=K,
-        seed=23,
-        method="tree_aggregate",
-        depth=2,
+    # Executor-side merge tree over the same kernel's partials.
+    tr_parts = 8 if quick else 32
+    blobs = _partial_bytes(
+        df.repartition(tr_parts), "l_extendedprice", template=ReqSketch(K), seed=23
     )
-    rows.append(_error_row("rdd_tree_aggregate", ta, ta_truth, ta_ys, ta_parts))
+    root = blobs.rdd.map(lambda r: r[0]).treeReduce(_merge_bytes, depth=2)
+    rows.append(_error_row("rdd_tree_reduce", serde.from_bytes(root), truth, ys, tr_parts, n))
 
     out = pd.DataFrame(rows)
     out.attrs["n"] = n

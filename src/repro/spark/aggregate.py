@@ -1,26 +1,28 @@
 """Distributed sketch builders — the paper's mergeability put to work.
 
-Two dataflow shapes, both exercising Algorithm 4's merge:
+One kernel turns rows into sketches: a ``mapInArrow`` task reads its
+partition's Arrow batches straight into numpy, builds one partial sketch
+(vectorized ``update``) and emits it as one ``binary`` row.  Full
+mergeability (Thm 1, App. C) keeps the guarantee for any split of the
+input and any merge tree, so every distributed shape is that kernel plus
+a choice of where the partials meet:
 
-* ``build_sketch(..., method="map_partitions")`` — an Arrow kernel
-  (``mapInArrow``): each partition reads its column's Arrow batches
-  straight into numpy, builds one partial sketch (vectorized ``update``)
-  and emits it as bytes; the driver merges the partials in a *balanced
-  binary tree* so the merge tree has logarithmic depth like a parallel
-  reduction would.  The input is first coalesced (narrowly, no shuffle)
-  to ``defaultParallelism`` partitions, so a build is one wave of at most
-  one task per core and ships at most that many partials.  Every wave of
-  Python tasks pays a fixed start-up (≈0.25–0.3 s on a 4-core host, more
-  than the sketch work of a 600k-row column), and full mergeability
-  (App. C) keeps the guarantee for any split of the input, so the number
-  of partials is purely a cost choice.  ``partition_sketches`` itself
-  keeps the caller's layout: one partial per non-empty input partition.
-
-* ``build_sketch(..., method="tree_aggregate")`` — the classic RDD
-  ``treeAggregate(zero, seqOp, combOp, depth)``: insertion and merging
-  both happen on executors, with intermediate combiner levels — the
-  "mergeable summary as an Aggregator" shape.  Per-row seqOp is the
-  semantics-faithful form; for throughput use map_partitions.
+* ``build_sketch`` — the whole-column build.  The input is first
+  coalesced (narrowly, no shuffle) to ``defaultParallelism`` partitions,
+  so a build is one wave of at most one task per core and ships at most
+  that many partials; the driver merges them in a *balanced binary
+  tree*, the logarithmic-depth shape of a parallel reduction.  Every
+  wave of Python tasks pays a fixed start-up (≈0.25–0.3 s on a 4-core
+  host, more than the sketch work of a 600k-row column), so the number
+  of partials is purely a cost choice.
+* ``partition_sketches`` — the partials themselves, one per non-empty
+  input partition in the caller's layout, for any driver-side merge
+  (``merge_balanced``, ``merge_sequential``) or sketch template
+  (adaptive k, ``schedule="all"``).
+* executor-side merge trees — ``_partial_bytes(...).rdd`` reduced with
+  ``treeReduce(_merge_bytes, depth)``: partials are merged on executors
+  in intermediate combiner levels and only the root reaches the driver
+  (T4's ``rdd_tree_reduce`` row).
 
 Randomness: each partition's sketch is seeded by SeedSequence(seed,
 partition_id) so distributed builds are reproducible and partitions are
@@ -40,40 +42,17 @@ from repro.core import serde
 from repro.core.req_sketch import ReqSketch
 
 
-def _partition_rng_seed(seed: int, partition_id: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, partition_id]))
-
-
-def _make_sketch(proto: dict, seed: int, partition_id: int) -> ReqSketch:
-    """Build an empty sketch from a parameter prototype + partition seed."""
-    sk = ReqSketch(
-        proto["k"],
-        schedule=proto["schedule"],
-        khat=proto["khat"],
-        k_const=proto["k_const"],
-    )
-    sk.rng = _partition_rng_seed(seed, partition_id)
-    return sk
-
-
-def _proto(template: ReqSketch) -> dict:
-    """Parameter prototype of a sketch (picklable, tiny)."""
-    return {
-        "k": template.k,
-        "schedule": template.schedule,
-        "khat": template._khat,
-        "k_const": template._k_const,
-    }
-
-
-def partition_sketches(
+def _partial_bytes(
     df: DataFrame, col: str, *, template: ReqSketch, seed: int = 0
-) -> List[ReqSketch]:
-    """One partial REQ sketch per non-empty partition of ``df`` (mapInArrow).
-
-    Keeps the caller's layout: ``df`` is not repartitioned or coalesced.
-    """
-    proto = _proto(template)
+) -> DataFrame:
+    """The Arrow kernel: one ``sketch binary`` row per non-empty partition."""
+    # The template's constructor arguments: picklable and tiny.
+    params = dict(
+        k=template.k,
+        schedule=template.schedule,
+        khat=template._khat,
+        k_const=template._k_const,
+    )
 
     def build(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         ctx = TaskContext.get()
@@ -86,15 +65,31 @@ def partition_sketches(
             if vals.size == 0:
                 continue
             if sk is None:
-                sk = _make_sketch(proto, seed, pid)
+                sk = ReqSketch(**params)
+                sk.rng = np.random.default_rng(np.random.SeedSequence([seed, pid]))
             sk.update(vals)
         if sk is not None:
             yield pa.RecordBatch.from_arrays(
                 [pa.array([serde.to_bytes(sk)], type=pa.binary())], names=["sketch"]
             )
 
-    out = df.select(col).mapInArrow(build, schema="sketch binary").collect()
-    return [serde.from_bytes(row["sketch"]) for row in out]
+    return df.select(col).mapInArrow(build, schema="sketch binary")
+
+
+def _merge_bytes(a: bytes, b: bytes) -> bytes:
+    """Merge two encoded sketches into one encoded sketch (executor combOp)."""
+    return serde.to_bytes(serde.from_bytes(a).merge(serde.from_bytes(b)))
+
+
+def partition_sketches(
+    df: DataFrame, col: str, *, template: ReqSketch, seed: int = 0
+) -> List[ReqSketch]:
+    """One partial REQ sketch per non-empty partition of ``df``.
+
+    Keeps the caller's layout: ``df`` is not repartitioned or coalesced.
+    """
+    rows = _partial_bytes(df, col, template=template, seed=seed).collect()
+    return [serde.from_bytes(row["sketch"]) for row in rows]
 
 
 def merge_balanced(sketches: List[ReqSketch]) -> ReqSketch:
@@ -126,75 +121,11 @@ def merge_sequential(sketches: List[ReqSketch]) -> ReqSketch:
     return acc
 
 
-def tree_aggregate_sketch(
-    df: DataFrame,
-    col: str,
-    *,
-    template: ReqSketch,
-    seed: int = 0,
-    depth: int = 2,
-) -> ReqSketch:
-    """Build via RDD ``treeAggregate``: per-row seqOp inserts, combOp merges.
-
-    The zero value is a parameter prototype (not a live sketch) so every
-    task starts from a fresh, partition-seeded instance.
+def build_sketch(df: DataFrame, col: str, *, k: int = 32, seed: int = 0) -> ReqSketch:
+    """REQ sketch of ``df[col]``: Arrow partials from at most
+    ``defaultParallelism`` partitions, merged on the driver in a balanced tree.
     """
-    proto = _proto(template)
-
-    def seq_op(acc, value):
-        if value is None:
-            return acc
-        if not isinstance(acc, ReqSketch):
-            ctx = TaskContext.get()
-            pid = ctx.partitionId() if ctx is not None else 0
-            acc = _make_sketch(proto, seed, pid)
-        acc.update(float(value))
-        return acc
-
-    def comb_op(a, b):
-        a_is = isinstance(a, ReqSketch)
-        b_is = isinstance(b, ReqSketch)
-        if a_is and b_is:
-            return a.merge(b)
-        return a if a_is else b
-
-    rdd = df.select(col).rdd.map(lambda r: r[0])
-    result = rdd.treeAggregate(proto, seq_op, comb_op, depth=depth)
-    if not isinstance(result, ReqSketch):
-        raise ValueError("no rows to aggregate (empty input?)")
-    return result
-
-
-def build_sketch(
-    df: DataFrame,
-    col: str,
-    *,
-    k: int = 32,
-    seed: int = 0,
-    schedule: str = "req",
-    khat: Optional[float] = None,
-    k_const: int = 2 ** 5,
-    method: str = "map_partitions",
-    merge_shape: str = "balanced",
-    depth: int = 2,
-) -> ReqSketch:
-    """Build a REQ sketch of ``df[col]`` with the chosen dataflow.
-
-    ``method``: "map_partitions" (Arrow partials from at most
-    ``defaultParallelism`` partitions + driver merge tree) or
-    "tree_aggregate" (RDD treeAggregate, executor-side merges).
-    ``merge_shape``: "balanced" or "sequential" (map_partitions only).
-    """
-    template = ReqSketch(k, schedule=schedule, khat=khat, k_const=k_const)
-    if method == "tree_aggregate":
-        return tree_aggregate_sketch(df, col, template=template, seed=seed, depth=depth)
-    if method != "map_partitions":
-        raise ValueError(f"unknown method {method!r}")
     # One wave of tasks, one partial per core: coalesce never adds partitions.
     cores = df.sparkSession.sparkContext.defaultParallelism
-    partials = partition_sketches(df.coalesce(cores), col, template=template, seed=seed)
-    if merge_shape == "balanced":
-        return merge_balanced(partials)
-    if merge_shape == "sequential":
-        return merge_sequential(partials)
-    raise ValueError(f"unknown merge_shape {merge_shape!r}")
+    partials = partition_sketches(df.coalesce(cores), col, template=ReqSketch(k), seed=seed)
+    return merge_balanced(partials)

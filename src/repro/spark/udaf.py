@@ -45,7 +45,6 @@ def group_sketches(
     *,
     k: int = 32,
     seed: int = 0,
-    schedule: str = "req",
 ) -> DataFrame:
     """One REQ sketch per group: columns ``group_cols + [sketch, n]``."""
     key_fields = [df.schema[c] for c in group_cols]
@@ -60,7 +59,7 @@ def group_sketches(
     def build(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
         vals = pdf[value_col].to_numpy(dtype=np.float64, na_value=np.nan)
         vals = vals[~np.isnan(vals)]
-        sk = ReqSketch(k, schedule=schedule)
+        sk = ReqSketch(k)
         sk.rng = _group_seed(seed, key)
         sk.update(vals)
         row = {c: [v] for c, v in zip(group_cols, key)}

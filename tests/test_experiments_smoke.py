@@ -76,7 +76,10 @@ class TestT3:
 class TestT4:
     def test_all_builds_within_band(self, spark):
         df = t4_mergeability.run(spark, quick=True)
+        # Every build covers the whole input, the executor tree included.
+        assert (df["n"] == df.attrs["n"]).all()
         assert (df["weight_ok"]).all()
+        assert "rdd_tree_reduce" in set(df["build"])
         assert df["max_rel_err"].max() < 0.08
         stream_err = df[df["build"] == "driver_stream"]["max_rel_err"].iloc[0]
         # No distributed build an order of magnitude worse than streaming.
