@@ -26,7 +26,7 @@ def test_merge_two_halves(benchmark, data):
     b0 = ReqSketch(64, seed=4).update(data[N // 2 :])
 
     def run():
-        return ReqSketch.merge_of(a0, b0)
+        return a0.copy().merge(b0)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.total_weight() == N
@@ -71,3 +71,17 @@ def test_serde_roundtrip(benchmark, data):
         lambda: serde.from_bytes(serde.to_bytes(sk)), rounds=10, iterations=1
     )
     assert out.n == N
+
+
+def test_serde_copy_group_sized(benchmark):
+    """The fixed cost a GROUP BY pays per group: encode, decode and copy
+    one 30-item k=32 sketch (one level, no compaction)."""
+    from repro.core import serde
+
+    sk = ReqSketch(32, seed=10).update(stream_array("lognormal", 30, seed=10))
+
+    def run():
+        return serde.from_bytes(serde.to_bytes(sk)).copy()
+
+    out = benchmark.pedantic(run, rounds=200, iterations=10)
+    assert out.n == 30 and out.num_levels == 1

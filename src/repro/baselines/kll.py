@@ -56,7 +56,7 @@ class KllSketch:
     # ------------------------------------------------------------------ update
 
     def update(self, values: Iterable[float] | np.ndarray | float) -> "KllSketch":
-        arr = np.asarray(values, dtype=np.float64)
+        arr = np.array(values, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1)
         arr = arr.ravel()
@@ -150,32 +150,6 @@ class KllSketch:
 
     def total_weight(self) -> int:
         return estimator.total_weight(self)
-
-    # ------------------------------------------------------------------- serde
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "kll",
-            "version": 1,
-            "k": self.k,
-            "n": self.n,
-            "levels": [self._level_values(h).copy() for h in range(len(self.levels))],
-            "rng_state": self.rng.bit_generator.state,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KllSketch":
-        if d.get("type") != "kll" or d.get("version") != 1:
-            raise ValueError(f"not a v1 KLL sketch dict: {d.get('type')!r}")
-        sk = cls(d["k"])
-        sk.n = d["n"]
-        sk.levels = [[np.asarray(a, dtype=np.float64)] for a in d["levels"]]
-        sk._counts = [a.size for a in (np.asarray(x) for x in d["levels"])]
-        if not sk.levels:
-            sk.levels, sk._counts = [[]], [0]
-        sk.rng = np.random.default_rng()
-        sk.rng.bit_generator.state = d["rng_state"]
-        return sk
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KllSketch(k={self.k}, n={self.n}, retained={self.num_retained()})"

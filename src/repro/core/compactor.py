@@ -61,6 +61,15 @@ class RelativeCompactor:
     def __len__(self) -> int:
         return self._count
 
+    def copy(self) -> "RelativeCompactor":
+        """Same items and state, sharing the stored arrays: no method writes
+        one in place (sorts and compactions build new arrays)."""
+        c = RelativeCompactor(self.state)
+        c._chunks = list(self._chunks)
+        c._count = self._count
+        c._sorted = self._sorted
+        return c
+
     # ------------------------------------------------------------------ content
 
     def append(self, values: np.ndarray) -> None:
@@ -153,14 +162,3 @@ class RelativeCompactor:
         self._sorted = True
         self.state += 1
         return promoted
-
-    # ------------------------------------------------------------------ serde
-
-    def to_dict(self) -> dict:
-        return {"state": self.state, "values": self.values().copy()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RelativeCompactor":
-        c = cls(d["state"])
-        c.append(np.asarray(d["values"], dtype=np.float64))
-        return c

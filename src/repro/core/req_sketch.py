@@ -137,8 +137,8 @@ class ReqSketch:
     # ------------------------------------------------------------------ update
 
     def update(self, values: Iterable[float] | np.ndarray | float) -> "ReqSketch":
-        """Insert a batch (or a single item) into the stream."""
-        arr = np.asarray(values, dtype=np.float64)
+        """Insert a batch (or a single item); the batch is copied once."""
+        arr = np.array(values, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1)
         arr = arr.ravel()
@@ -172,7 +172,8 @@ class ReqSketch:
         self._check_mergeable(other)
         if other.n == 0:
             return self
-        src = other.copy()
+        # ``other`` is read, not written, unless it must be special-compacted.
+        src = other.copy() if other is self else other
         # Line 1: combined input size.
         self.n += src.n
         # Ensure self carries the larger parameter epoch before the
@@ -185,6 +186,8 @@ class ReqSketch:
         # Lines 6-7: source's parameters lag behind - special-compact it
         # once with its OWN (old) geometry before adopting buffers.
         if src.N < self.N:
+            if src is other:
+                src = other.copy()
             src._special_compact_all(self.rng)
         self._min_B = min(self._min_B, src._min_B)
         # Lines 8-11: combine buffers and schedule states per level.
@@ -200,14 +203,15 @@ class ReqSketch:
         self._compact_cascade()
         return self
 
-    @staticmethod
-    def merge_of(a: "ReqSketch", b: "ReqSketch") -> "ReqSketch":
-        """Non-destructive merge: returns a new sketch, operands untouched."""
-        return a.copy().merge(b)
-
     def copy(self) -> "ReqSketch":
-        """Deep copy (buffers copied; RNG state copied, streams diverge)."""
-        return self.from_dict(self.to_dict())
+        """Independent copy with the same coin flips to come; it shares the
+        level arrays, which are never written in place once stored."""
+        cp = object.__new__(type(self))
+        cp.__dict__.update(self.__dict__)
+        cp.levels = [lv.copy() for lv in self.levels]
+        cp.rng = np.random.Generator(type(self.rng.bit_generator)())
+        cp.rng.bit_generator.state = self.rng.bit_generator.state
+        return cp
 
     # ----------------------------------------------------------------- queries
 
@@ -232,51 +236,6 @@ class ReqSketch:
 
     def total_weight(self) -> int:
         return estimator.total_weight(self)
-
-    # ------------------------------------------------------------------- serde
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "req",
-            "version": 1,
-            "k": self.k,
-            "khat": self._khat,
-            "k_const": self._k_const,
-            "schedule": self.schedule,
-            "N": self.N,
-            "n": self.n,
-            "min_B": self._min_B,
-            "levels": [lv.to_dict() for lv in self.levels],
-            "rng_state": self.rng.bit_generator.state,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReqSketch":
-        if d.get("type") != "req" or d.get("version") != 1:
-            raise ValueError(f"not a v1 REQ sketch dict: {d.get('type')!r}")
-        sk = cls(
-            d["k"],
-            schedule=d["schedule"],
-            khat=d["khat"],
-            k_const=d["k_const"],
-            N0=d["N"],
-        )
-        sk.n = d["n"]
-        sk._min_B = d["min_B"]
-        sk.levels = [RelativeCompactor.from_dict(ld) for ld in d["levels"]]
-        if not sk.levels:
-            sk.levels = [RelativeCompactor()]
-        # A NaN breaks the sorted-run invariant and every searchsorted,
-        # and a level-size mismatch breaks exact total weight; refuse both.
-        for h, lv in enumerate(sk.levels):
-            if np.isnan(lv.values()).any():
-                raise ValueError(f"level {h} holds NaN")
-        weight = sum(len(lv) << h for h, lv in enumerate(sk.levels))
-        if weight != sk.n:
-            raise ValueError(f"levels weigh {weight}, not n = {sk.n}")
-        sk.rng = np.random.default_rng()
-        sk.rng.bit_generator.state = d["rng_state"]
-        return sk
 
     # --------------------------------------------------------------- internals
 

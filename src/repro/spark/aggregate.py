@@ -96,11 +96,12 @@ def merge_balanced(sketches: List[ReqSketch]) -> ReqSketch:
     """Merge partials pairwise in rounds — a balanced binary merge tree.
 
     Matches the merge topology of a parallel reduction, the shape
-    App. C's "arbitrary merge tree" analysis must survive.
+    App. C's "arbitrary merge tree" analysis must survive.  It merges
+    into copies: the inputs are left unchanged.
     """
     if not sketches:
         raise ValueError("no partial sketches to merge (empty input?)")
-    layer = list(sketches)
+    layer = [sk.copy() for sk in sketches]
     while len(layer) > 1:
         nxt = []
         for i in range(0, len(layer) - 1, 2):
@@ -112,12 +113,13 @@ def merge_balanced(sketches: List[ReqSketch]) -> ReqSketch:
 
 
 def merge_sequential(sketches: List[ReqSketch]) -> ReqSketch:
-    """Left-fold merge — the most unbalanced merge tree (worst case)."""
+    """Left-fold merge into a copy of the first input — the most
+    unbalanced merge tree (worst case)."""
     if not sketches:
         raise ValueError("no partial sketches to merge (empty input?)")
-    acc = sketches[0]
+    acc = sketches[0].copy()
     for sk in sketches[1:]:
-        acc = acc.merge(sk)
+        acc.merge(sk)
     return acc
 
 

@@ -214,14 +214,3 @@ class TestAllSchedule:
         out = c.compact(P, np.random.default_rng(0), schedule="all")
         assert len(c) == B // 2
         assert out.size == B // 4
-
-
-class TestSerde:
-    def test_roundtrip(self):
-        c = make(state=5)
-        c.append(np.array([3.0, 1.0, 2.0]))
-        d = c.to_dict()
-        assert set(d) == {"state", "values"}  # no per-level parameters
-        c2 = RelativeCompactor.from_dict(d)
-        assert c2.state == 5
-        assert list(c2.values()) == list(c.values())

@@ -25,6 +25,20 @@ class TestBasics:
         with pytest.raises(ValueError):
             KllSketch(k=20).update([float("nan")])
 
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_update_copies_callers_buffer(self, n):
+        """Overwriting the caller's buffer after ``update`` changes nothing."""
+        buf = stream_array("uniform", n, seed=4)
+        ref = KllSketch(k=20, seed=4).update(buf.copy())
+        sk = KllSketch(k=20, seed=4).update(buf)
+        buf[:] = 1e9
+        phis = [0.0, 0.5, 1.0]
+        assert np.array_equal(sk.quantiles(phis), ref.quantiles(phis))
+        assert sk.rank(0.5) == ref.rank(0.5)
+        assert [a.tobytes() for _, a in sk.level_arrays()] == [
+            a.tobytes() for _, a in ref.level_arrays()
+        ]
+
     def test_space_bounded(self):
         """Retained ~ k/(1-c) = 3k regardless of n (the additive win)."""
         for n in (10_000, 100_000):
@@ -105,16 +119,3 @@ class TestMerge:
         for i in range(10):
             acc.merge(KllSketch(k=60, seed=20 + i).update(stream_array("uniform", 5000, seed=30 + i)))
         assert acc.num_retained() <= 8 * 60
-
-
-class TestSerde:
-    def test_roundtrip(self):
-        sk = KllSketch(k=40, seed=14).update(stream_array("uniform", 9000, seed=14))
-        cp = KllSketch.from_dict(sk.to_dict())
-        qs = np.linspace(0, 1, 30)
-        assert cp.total_weight() == sk.total_weight()
-        assert np.array_equal(cp.ranks(qs), sk.ranks(qs))
-
-    def test_bad_dict_rejected(self):
-        with pytest.raises(ValueError):
-            KllSketch.from_dict({"type": "nope"})

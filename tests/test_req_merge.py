@@ -27,6 +27,25 @@ class TestMergeBasics:
         assert b.total_weight() == b_weight
         assert np.array_equal(b.ranks(np.linspace(0, 1, 20)), b_ranks)
 
+    def test_source_in_older_epoch_unchanged(self):
+        """A source that must be special-compacted is compacted as a copy."""
+        a = sketch_of(stream_array("uniform", 50_000, seed=15), seed=15)
+        b = sketch_of(stream_array("uniform", 300, seed=16), seed=16)
+        assert b.N < a.N
+        before = [(lv.state, lv.sorted_values().tobytes()) for lv in b.levels]
+        a.merge(b)
+        assert a.total_weight() == 50_300
+        assert [(lv.state, lv.sorted_values().tobytes()) for lv in b.levels] == before
+
+    def test_self_merge(self):
+        a = sketch_of(stream_array("uniform", 3_000, seed=17), seed=17)
+        b = a.copy().merge(a.copy())
+        a.merge(a)
+        assert a.n == a.total_weight() == 6_000
+        assert [lv.sorted_values().tobytes() for lv in a.levels] == [
+            lv.sorted_values().tobytes() for lv in b.levels
+        ]
+
     def test_merge_empty_noop(self):
         a = sketch_of(stream_array("uniform", 5_000, seed=5), seed=5)
         w = a.total_weight()
@@ -42,7 +61,7 @@ class TestMergeBasics:
     def test_merge_of_nondestructive(self):
         a = sketch_of(stream_array("uniform", 3_000, seed=8), seed=8)
         b = sketch_of(stream_array("uniform", 3_000, seed=9), seed=9)
-        m = ReqSketch.merge_of(a, b)
+        m = a.copy().merge(b)
         assert m.n == 6_000 and a.n == 3_000 and b.n == 3_000
 
     def test_merge_very_unequal_sizes(self):
@@ -133,7 +152,7 @@ class TestMergeAccuracy:
         ]
         while len(layer) > 1:
             layer = [
-                ReqSketch.merge_of(layer[i], layer[i + 1])
+                layer[i].copy().merge(layer[i + 1])
                 for i in range(0, len(layer), 2)
             ]
         m = layer[0]

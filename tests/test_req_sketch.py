@@ -37,6 +37,20 @@ class TestBasics:
         with pytest.raises(ValueError):
             ReqSketch(k=8).update([1.0, float("nan")])
 
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_update_copies_callers_buffer(self, n):
+        """Overwriting the caller's buffer after ``update`` changes nothing."""
+        buf = stream_array("uniform", n, seed=3)
+        ref = ReqSketch(8, seed=3).update(buf.copy())
+        sk = ReqSketch(8, seed=3).update(buf)
+        buf[:] = 1e9
+        phis = [0.0, 0.5, 1.0]
+        assert np.array_equal(sk.quantiles(phis), ref.quantiles(phis))
+        assert sk.rank(0.5) == ref.rank(0.5)
+        assert [lv.values().tobytes() for lv in sk.levels] == [
+            lv.values().tobytes() for lv in ref.levels
+        ]
+
     def test_accepts_iterables_and_scalars(self):
         sk = ReqSketch(k=8)
         sk.update([1, 2, 3])
@@ -220,6 +234,25 @@ class TestCopy:
         assert cp.total_weight() == sk.total_weight()
         cp.update(np.arange(100.0))
         assert sk.n == 5000 and cp.n == 5100
+
+    def test_copy_leaves_original_levels_alone(self):
+        """The copy shares item arrays; its compactions must not reach them."""
+        sk = ReqSketch(8, seed=5).update(stream_array("uniform", 5000, seed=5))
+        before = [(lv.state, lv.sorted_values().tobytes()) for lv in sk.levels]
+        cp = sk.copy()
+        cp.update(stream_array("uniform", 20_000, seed=6))
+        cp.quantiles([0.1, 0.9])
+        assert [(lv.state, lv.sorted_values().tobytes()) for lv in sk.levels] == before
+
+    def test_copy_continues_with_same_coin_flips(self):
+        data = stream_array("uniform", 20_000, seed=7)
+        sk = ReqSketch(8, seed=7).update(data[:10_000])
+        cp = sk.copy()
+        sk.update(data[10_000:])
+        cp.update(data[10_000:])
+        assert [(lv.state, lv.sorted_values().tobytes()) for lv in cp.levels] == [
+            (lv.state, lv.sorted_values().tobytes()) for lv in sk.levels
+        ]
 
     def test_copy_preserves_estimates(self):
         sk = ReqSketch(8, seed=2).update(stream_array("uniform", 5000, seed=2))
